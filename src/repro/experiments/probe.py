@@ -18,7 +18,7 @@ import numpy as np
 from ..algorithms import OptimizerSpec
 from ..core import LayerSampler, progress_curve
 from ..data import BatchStream, Dataset
-from ..nn import softmax_cross_entropy
+from ..nn import skip_stem_input_grad, softmax_cross_entropy
 
 __all__ = ["ProbeResult", "probe_curves"]
 
@@ -53,6 +53,7 @@ def probe_curves(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     model = model_fn()
+    skip_stem_input_grad(model)
     model.load_state_dict(global_state)
     model.train(True)
     opt = optimizer.build(model)

@@ -13,16 +13,10 @@ from .cohort import (
     cohort_supported,
 )
 from .conv import Conv2d
-from .einsum_cache import (
-    clear_path_cache,
-    einsum_path_for,
-    path_cache_info,
-    planned_einsum,
-)
 from .layers import Dropout, Flatten, Identity, Linear, ReLU, Sequential, Tanh
 from .loss import accuracy, softmax_cross_entropy
 from .models import LeNetCNN, LSTMClassifier, ResidualBlock, WideResNet, build_model
-from .module import Module
+from .module import Module, forward_chain, skip_stem_input_grad
 from .norm import BatchNorm2d, GroupNorm2d
 from .optim import SGD, ProxSGD
 from .parameter import Parameter
@@ -37,7 +31,8 @@ from .serialize import (
 )
 
 __all__ = [
-    "Parameter", "Module", "Sequential", "Linear", "ReLU", "Tanh", "Flatten",
+    "Parameter", "Module", "forward_chain", "skip_stem_input_grad",
+    "Sequential", "Linear", "ReLU", "Tanh", "Flatten",
     "Dropout", "Identity", "Conv2d", "MaxPool2d", "AvgPool2d",
     "GlobalAvgPool2d", "BatchNorm2d",
     "GroupNorm2d", "LSTM", "SGD", "ProxSGD",
@@ -47,5 +42,4 @@ __all__ = [
     "CheckpointFormatError",
     "CohortModel", "CohortSGD", "CohortUnsupportedModel",
     "build_cohort_model", "cohort_supported", "cohort_softmax_cross_entropy",
-    "einsum_path_for", "planned_einsum", "path_cache_info", "clear_path_cache",
 ]

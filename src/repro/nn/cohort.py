@@ -11,13 +11,11 @@ clients per layer per step.
 
 Implementation notes
 --------------------
-* Contractions use broadcast-batched ``np.matmul`` rather than folded
-  ``einsum`` subscripts (``"fk,nkl->nfl"`` → ``"cfk,cnkl->cnfl"``): on this
-  substrate a planned batched einsum runs 2–5× slower than ``matmul``
-  because numpy's einsum cannot dispatch batch contractions to BLAS. The
-  handful of einsums the cohort path does retain (masked per-member loss
-  reductions) go through the shared plan LRU in
-  :mod:`repro.nn.einsum_cache`, like the serial conv layer.
+* The layer arithmetic is the shared kernel set in
+  :mod:`repro.nn.functional`, which the serial layers also run (with a
+  member axis of one). Its contractions are broadcast-batched ``np.matmul``
+  calls, so member ``i`` of a cohort layer computes bitwise what the serial
+  layer computes on member ``i``'s slice.
 * Ragged batches are handled by padding to the widest member batch and
   masking: padded rows carry exactly-zero loss gradients, so they
   contribute zeros to every parameter gradient.
@@ -27,10 +25,10 @@ Implementation notes
   frozen bitwise (the whole step, including weight decay, is multiplied by
   the mask), and the caller stops drawing its batches so the member's data
   RNG stream stays exactly where a serial run would leave it.
-* The serial executor remains the bitwise oracle. A cohort member's floats
-  may differ from its serial twin at reduction-order level (different GEMM
-  blocking), which is why equivalence is pinned to a documented tolerance
-  (see ``tests/test_cohort.py`` and ``DESIGN.md`` §12) rather than bitwise.
+* The serial executor remains the bitwise oracle. Layers match it exactly;
+  the masked cohort loss and optimizer step still reorder a few float
+  operations, which is why run-level equivalence is pinned to a documented
+  tolerance (see ``tests/test_cohort.py`` and ``DESIGN.md`` §12).
 """
 
 from __future__ import annotations
@@ -39,9 +37,8 @@ import numpy as np
 
 from . import functional as F
 from .conv import Conv2d
-from .einsum_cache import planned_einsum
-from .layers import Dropout, Flatten, Identity, Linear, ReLU, Sequential, Tanh
-from .module import Module
+from .layers import Dropout, Flatten, Identity, Linear, ReLU, Tanh
+from .module import Module, forward_chain
 from .norm import GroupNorm2d
 from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from .rnn import LSTM
@@ -87,201 +84,153 @@ class CohortParameter:
 class _CohortLayer:
     """Base: a stateless transform or a parametrised layer over ``(C, N, …)``."""
 
-    #: When False (set on the chain's first layer), parametrised layers may
-    #: skip computing the gradient w.r.t. their *input* — nothing consumes
-    #: it. Parameter gradients are unaffected.
+    #: When False (set on the chain's first layer), parametrised layers
+    #: skip the gradient w.r.t. their *input* — nothing consumes it.
+    #: Parameter gradients are unaffected.
     compute_dx: bool = True
 
-    def params(self) -> list[CohortParameter]:
+    def parameters(self) -> list[CohortParameter]:
         return []
-
-    def bind_members(self, modules: list[Module]) -> None:
-        """Attach the cohort members' serial layer instances (used only by
-        layers that must consume per-member state, e.g. Dropout RNGs)."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def backward(self, g: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+    def backward(self, g: np.ndarray) -> np.ndarray | None:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
-class CLinear(_CohortLayer):
-    """Batched affine map: ``y[c] = x[c] @ W[c].T + b[c]``."""
+def _stacked(prefix: str, ref: Module, cohort_size: int) -> dict[str, CohortParameter]:
+    """One stacked parameter per parameter of the serial layer ``ref``."""
+    return {
+        name: CohortParameter(f"{prefix}{name}", cohort_size, p.data.shape)
+        for name, p in ref._parameters.items()
+    }
 
-    def __init__(self, prefix: str, ref: Linear, cohort_size: int) -> None:
-        self.weight = CohortParameter(
-            f"{prefix}weight", cohort_size, ref.weight.data.shape
-        )
-        self.bias = (
-            CohortParameter(f"{prefix}bias", cohort_size, ref.bias.data.shape)
-            if ref.bias is not None
-            else None
-        )
-        self._x: np.ndarray | None = None
 
-    def params(self) -> list[CohortParameter]:
+class _CAffine(_CohortLayer):
+    """Base of the stacked ``weight`` (+ optional ``bias``) layers."""
+
+    def __init__(self, prefix: str, ref: Module, cohort_size: int) -> None:
+        p = _stacked(prefix, ref, cohort_size)
+        self.weight = p["weight"]
+        self.bias = p.get("bias")
+        self._cache = None
+
+    def parameters(self) -> list[CohortParameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        out = np.matmul(x, self.weight.data.transpose(0, 2, 1))
+    def _bias(self) -> np.ndarray | None:
+        return None if self.bias is None else self.bias.data
+
+    def _accumulate(self, dw: np.ndarray, db: np.ndarray | None) -> None:
+        self.weight.grad += dw
         if self.bias is not None:
-            out += self.bias.data[:, None, :]
+            self.bias.grad += db
+
+
+class CLinear(_CAffine):
+    """Batched affine map: ``y[c] = x[c] @ W[c].T + b[c]``."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = x
+        return F.linear_forward(x, self.weight.data, self._bias())
+
+    def backward(self, g: np.ndarray) -> np.ndarray | None:
+        x, self._cache = self._cache, None
+        dw, db, dx = F.linear_backward(g, x, self.weight.data, want_dx=self.compute_dx)
+        self._accumulate(dw, db)
+        return dx
+
+
+class CConv2d(_CAffine):
+    """Batched conv: the member axis folds into the im2col GEMMs
+    (:func:`repro.nn.functional.conv2d_forward`)."""
+
+    def __init__(self, prefix: str, ref: Conv2d, cohort_size: int) -> None:
+        super().__init__(prefix, ref, cohort_size)
+        self.in_channels = ref.in_channels
+        self.stride = ref.stride
+        self.padding = ref.padding
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[2] != self.in_channels:
+            raise ValueError(f"expected {self.in_channels} channels, got {x.shape[2]}")
+        out, self._cache = F.conv2d_forward(
+            x, self.weight.data, self._bias(), self.stride, self.padding
+        )
+        return out
+
+    def backward(self, g: np.ndarray) -> np.ndarray | None:
+        if self._cache is None:
+            raise RuntimeError("CConv2d.backward called before forward")
+        cache, self._cache = self._cache, None
+        dw, db, dx = F.conv2d_backward(
+            g, self.weight.data, cache, want_dx=self.compute_dx
+        )
+        self._accumulate(dw, db)
+        return dx
+
+
+class CGroupNorm2d(_CAffine):
+    """Batched group normalisation (stateless, so train == eval)."""
+
+    def __init__(self, prefix: str, ref: GroupNorm2d, cohort_size: int) -> None:
+        super().__init__(prefix, ref, cohort_size)
+        self.num_groups = ref.num_groups
+        self.eps = ref.eps
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out, self._cache = F.group_norm_forward(
+            x, self.weight.data, self.bias.data, self.num_groups, self.eps
+        )
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        x, self._x = self._x, None
-        self.weight.grad += np.matmul(g.transpose(0, 2, 1), x)
-        if self.bias is not None:
-            self.bias.grad += g.sum(axis=1)
-        if not self.compute_dx:
-            return g  # first layer: input gradient has no consumer
-        return np.matmul(g, self.weight.data)
+        cache, self._cache = self._cache, None
+        dw, db, dx = F.group_norm_backward(g, self.weight.data, cache)
+        self._accumulate(dw, db)
+        return dx
 
 
-class CConv2d(_CohortLayer):
-    """Batched conv: the member axis folds into the im2col GEMMs.
+class CLSTM(_CohortLayer):
+    """Batched stacked LSTM: each timestep's gate matmuls advance all M
+    clients in one batched GEMM per operand
+    (:func:`repro.nn.functional.lstm_forward`)."""
 
-    Input ``(C, N, ch, H, W)`` is flattened to ``(C·N, ch, H, W)`` for the
-    (elementwise) im2col gather, then the filter bank contraction runs as
-    one broadcast-batched matmul ``(C, 1, F, K) @ (C, N, K, L)``.
-    """
-
-    def __init__(self, prefix: str, ref: Conv2d, cohort_size: int) -> None:
-        self.in_channels = ref.in_channels
-        self.out_channels = ref.out_channels
-        self.kernel_size = ref.kernel_size
-        self.stride = ref.stride
-        self.padding = ref.padding
-        self.weight = CohortParameter(
-            f"{prefix}weight", cohort_size, ref.weight.data.shape
-        )
-        self.bias = (
-            CohortParameter(f"{prefix}bias", cohort_size, ref.bias.data.shape)
-            if ref.bias is not None
-            else None
-        )
-        self._indices = None
-        self._geom: tuple[int, int] | None = None
-        self._dx_indices = None
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def params(self) -> list[CohortParameter]:
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
-
-    def _w_mat(self) -> np.ndarray:
-        c = self.weight.data.shape[0]
-        return self.weight.data.reshape(c, self.out_channels, -1)  # (C, F, K)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        c, n, ch, h, w = x.shape
-        if ch != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {ch}")
-        if self._geom != (h, w):
-            self._indices = F.im2col_indices(
-                ch, h, w, self.kernel_size, self.kernel_size,
-                self.stride, self.padding,
+    def __init__(self, prefix: str, ref: LSTM, cohort_size: int) -> None:
+        self.input_size = ref.input_size
+        p = _stacked(prefix, ref, cohort_size)
+        self._p = [
+            tuple(
+                p[f"{kind}_l{layer}"]
+                for kind in ("weight_ih", "weight_hh", "bias_ih", "bias_hh")
             )
-            self._dx_indices = None
-            self._geom = (h, w)
-        _, _, _, out_h, out_w = self._indices
-        cols = F.im2col(x.reshape(c * n, ch, h, w), self._indices, self.padding)
-        cols = cols.reshape(c, n, cols.shape[1], cols.shape[2])  # (C, N, K, L)
-        self._cols = cols
-        self._x_shape = x.shape
-        # (C, 1, F, K) @ (C, N, K, L) -> (C, N, F, L): one batched GEMM for
-        # the whole cohort.
-        out = np.matmul(self._w_mat()[:, None], cols)
-        if self.bias is not None:
-            out += self.bias.data[:, None, :, None]
-        return out.reshape(c, n, self.out_channels, out_h, out_w)
+            for layer in range(ref.num_layers)
+        ]
+        self._cache: tuple | None = None
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        if self._cols is None:
-            raise RuntimeError("CConv2d.backward called before forward")
-        cols = self._cols
-        self._cols = None
-        c, n = g.shape[0], g.shape[1]
-        gf = g.reshape(c, n, self.out_channels, -1)  # (C, N, F, L)
-        dw = np.matmul(gf, cols.transpose(0, 1, 3, 2)).sum(axis=1)  # (C, F, K)
-        self.weight.grad += dw.reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += gf.sum(axis=(1, 3))
-        if not self.compute_dx:
-            return g  # first layer: input gradient has no consumer
-        cc, nn_, ch, h, w = self._x_shape
-        if self.stride == 1 and self.padding <= self.kernel_size - 1:
-            # dX as a *transposed convolution* — an im2col gather over the
-            # output gradient contracted with the 180°-rotated filters. One
-            # gather + one batched GEMM instead of the ``np.add.at`` scatter
-            # of ``col2im``, which is an order of magnitude slower (python-
-            # level per-element accumulation). Both compute the same sum,
-            # in a different association order (float tolerance).
-            k = self.kernel_size
-            _, _, _, out_h, out_w = self._indices
-            pad_g = k - 1 - self.padding
-            if self._dx_indices is None:
-                self._dx_indices = F.im2col_indices(
-                    self.out_channels, out_h, out_w, k, k, 1, pad_g
-                )
-            g_cols = F.im2col(
-                g.reshape(c * n, self.out_channels, out_h, out_w),
-                self._dx_indices,
-                pad_g,
-            )
-            g_cols = g_cols.reshape(c, n, g_cols.shape[1], g_cols.shape[2])
-            # w_hat[c_in, f·k·k]: filters flipped in both spatial dims.
-            w_hat = (
-                self.weight.data[:, :, :, ::-1, ::-1]
-                .transpose(0, 2, 1, 3, 4)
-                .reshape(c, ch, -1)
-            )
-            dx = np.matmul(w_hat[:, None], g_cols)  # (C, N, ch, H·W)
-            return dx.reshape(c, n, ch, h, w)
-        dcols = np.matmul(self._w_mat().transpose(0, 2, 1)[:, None], gf)
-        dx = F.col2im(
-            dcols.reshape(cc * nn_, dcols.shape[2], dcols.shape[3]),
-            (cc * nn_, ch, h, w),
-            self._indices,
-            self.padding,
+    def parameters(self) -> list[CohortParameter]:
+        return [p for quad in self._p for p in quad]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[3] != self.input_size:
+            raise ValueError(f"expected input size {self.input_size}, got {x.shape[3]}")
+        params = [tuple(p.data for p in quad) for quad in self._p]
+        self._cache = None  # release the previous step cache before building one
+        out, self._cache = F.lstm_forward(x, params)
+        return out
+
+    def backward(self, grad_h_last: np.ndarray) -> np.ndarray | None:
+        if self._cache is None:
+            raise RuntimeError("CLSTM.backward called before forward")
+        cache, self._cache = self._cache, None
+        return F.lstm_backward(
+            grad_h_last,
+            [tuple(p.data for p in quad) for quad in self._p],
+            [tuple(p.grad for p in quad) for quad in self._p],
+            cache,
+            want_dx=self.compute_dx,
         )
-        return dx.reshape(self._x_shape)
-
-
-class CReLU(_CohortLayer):
-    def __init__(self) -> None:
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return F.relu(x)
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        x, self._x = self._x, None
-        return F.relu_grad(x, g)
-
-
-class CTanh(_CohortLayer):
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        out, self._out = self._out, None
-        return g * (1.0 - out**2)
-
-
-class CIdentity(_CohortLayer):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        return g
 
 
 class CFlatten(_CohortLayer):
@@ -312,6 +261,7 @@ class CDropout(_CohortLayer):
         self.valid_counts: np.ndarray | None = None
 
     def bind_members(self, modules: list[Module]) -> None:
+        """Attach the members' serial ``Dropout`` layers (their RNGs)."""
         self._members = modules  # type: ignore[assignment]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -339,327 +289,41 @@ class CDropout(_CohortLayer):
         return g * mask
 
 
-class CMaxPool2d(_CohortLayer):
-    """Batched non-overlapping max pooling with tie-splitting backward.
-
-    Implemented over ``k²`` strided slices (``x[..., i::k, j::k]``) rather
-    than the serial layer's 7-D window view: the slice reductions are an
-    order of magnitude faster on the stacked ``(C, N, …)`` tensors because
-    each ``np.maximum`` runs over large contiguous-ish blocks instead of a
-    doubly-strided axis pair. The arithmetic (max, tie counting, gradient
-    split ``g / ties``) is identical to the serial layer's.
-    """
-
-    def __init__(self, ref: MaxPool2d) -> None:
-        self.kernel_size = ref.kernel_size
-        self._masks: list[np.ndarray] | None = None
-        self._tie_counts = None
-        self._x_shape: tuple[int, ...] | None = None
-        self._trunc: tuple[int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        c, n, ch, h, w = x.shape
-        th, tw = (h // k) * k, (w // k) * k
-        self._x_shape = x.shape
-        self._trunc = (th, tw)
-        xt = x[:, :, :, :th, :tw]
-        slices = [xt[..., i::k, j::k] for i in range(k) for j in range(k)]
-        out = slices[0]
-        for s in slices[1:]:
-            out = np.maximum(out, s)
-        self._masks = [s == out for s in slices]
-        ties = self._masks[0].astype(np.int64)
-        for m in self._masks[1:]:
-            ties += m
-        self._tie_counts = ties
-        return out
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        th, tw = self._trunc
-        # Same float promotion as serial: float32 grad / int64 ties → float64,
-        # cast back to the grad dtype on assignment.
-        gs = g / self._tie_counts
-        masks, self._masks = self._masks, None
-        self._tie_counts = None
-        grad = np.zeros(self._x_shape, dtype=g.dtype)
-        sub = grad[:, :, :, :th, :tw]
-        idx = 0
-        for i in range(k):
-            for j in range(k):
-                sub[..., i::k, j::k] = np.where(masks[idx], gs, 0.0)
-                idx += 1
-        return grad
-
-
-class CAvgPool2d(_CohortLayer):
-    def __init__(self, ref: AvgPool2d) -> None:
-        self.kernel_size = ref.kernel_size
-        self._x_shape: tuple[int, ...] | None = None
-        self._trunc: tuple[int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        c, n, ch, h, w = x.shape
-        th, tw = (h // k) * k, (w // k) * k
-        self._x_shape = x.shape
-        self._trunc = (th, tw)
-        windows = x[:, :, :, :th, :tw].reshape(c, n, ch, th // k, k, tw // k, k)
-        return windows.mean(axis=(4, 6))
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        c, n, ch, h, w = self._x_shape
-        th, tw = self._trunc
-        gk = g / (k * k)
-        grad = np.zeros(self._x_shape, dtype=g.dtype)
-        expanded = np.broadcast_to(
-            gk[:, :, :, :, None, :, None], (c, n, ch, th // k, k, tw // k, k)
-        )
-        grad[:, :, :, :th, :tw] = expanded.reshape(c, n, ch, th, tw)
-        return grad
-
-
-class CGlobalAvgPool2d(_CohortLayer):
-    def __init__(self) -> None:
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return x.mean(axis=(3, 4))
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        c, n, ch, h, w = self._x_shape
-        gk = g / (h * w)
-        return np.broadcast_to(gk[:, :, :, None, None], self._x_shape).astype(
-            g.dtype
-        ).copy()
-
-
-class CGroupNorm2d(_CohortLayer):
-    """Batched group normalisation (stateless, so train == eval)."""
-
-    def __init__(self, prefix: str, ref: GroupNorm2d, cohort_size: int) -> None:
-        self.num_groups = ref.num_groups
-        self.num_channels = ref.num_channels
-        self.eps = ref.eps
-        self.weight = CohortParameter(
-            f"{prefix}weight", cohort_size, ref.weight.data.shape
-        )
-        self.bias = CohortParameter(f"{prefix}bias", cohort_size, ref.bias.data.shape)
-        self._cache: tuple | None = None
-
-    def params(self) -> list[CohortParameter]:
-        return [self.weight, self.bias]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        c, n, ch, h, w = x.shape
-        g = self.num_groups
-        grouped = x.reshape(c, n, g, ch // g, h, w)
-        mean = grouped.mean(axis=(3, 4, 5), keepdims=True)
-        var = grouped.var(axis=(3, 4, 5), keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = ((grouped - mean) * inv_std).reshape(c, n, ch, h, w)
-        self._cache = (x_hat, inv_std, (c, n, ch, h, w))
-        return (
-            self.weight.data[:, None, :, None, None] * x_hat
-            + self.bias.data[:, None, :, None, None]
-        )
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_hat, inv_std, (c, n, ch, h, w) = self._cache
-        self._cache = None
-        g = self.num_groups
-        m = (ch // g) * h * w
-        self.weight.grad += (grad_out * x_hat).sum(axis=(1, 3, 4))
-        self.bias.grad += grad_out.sum(axis=(1, 3, 4))
-        gy = (grad_out * self.weight.data[:, None, :, None, None]).reshape(
-            c, n, g, ch // g, h, w
-        )
-        xh = x_hat.reshape(c, n, g, ch // g, h, w)
-        sum_gy = gy.sum(axis=(3, 4, 5), keepdims=True)
-        sum_gyxh = (gy * xh).sum(axis=(3, 4, 5), keepdims=True)
-        dx = (inv_std / m) * (m * gy - sum_gy - xh * sum_gyxh)
-        return dx.reshape(c, n, ch, h, w)
-
-
-class CLSTM(_CohortLayer):
-    """Batched stacked LSTM: the python time loop is kept (it is inherently
-    sequential) but each timestep's gate matmuls advance all M clients in
-    one batched GEMM per operand."""
-
-    def __init__(self, prefix: str, ref: LSTM, cohort_size: int) -> None:
-        self.input_size = ref.input_size
-        self.hidden_size = ref.hidden_size
-        self.num_layers = ref.num_layers
-        self._p: list[tuple[CohortParameter, ...]] = []
-        for layer in range(ref.num_layers):
-            names = (
-                f"weight_ih_l{layer}", f"weight_hh_l{layer}",
-                f"bias_ih_l{layer}", f"bias_hh_l{layer}",
-            )
-            self._p.append(
-                tuple(
-                    CohortParameter(
-                        f"{prefix}{n}", cohort_size, ref._parameters[n].data.shape
-                    )
-                    for n in names
-                )
-            )
-        self._cache: list[list[dict]] | None = None
-        self._x_shape: tuple[int, ...] | None = None
-
-    def params(self) -> list[CohortParameter]:
-        return [p for quad in self._p for p in quad]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        c, n, t_steps, d = x.shape
-        if d != self.input_size:
-            raise ValueError(f"expected input size {self.input_size}, got {d}")
-        h_dim = self.hidden_size
-        self._x_shape = x.shape
-        self._cache = []
-        layer_input = x
-        for layer in range(self.num_layers):
-            w_ih, w_hh, b_ih, b_hh = self._p[layer]
-            w_ih_t = w_ih.data.transpose(0, 2, 1)
-            w_hh_t = w_hh.data.transpose(0, 2, 1)
-            bias = (b_ih.data + b_hh.data)[:, None, :]
-            h = np.zeros((c, n, h_dim), dtype=np.float32)
-            cc = np.zeros((c, n, h_dim), dtype=np.float32)
-            steps: list[dict] = []
-            outputs = np.empty((c, n, t_steps, h_dim), dtype=np.float32)
-            for t in range(t_steps):
-                x_t = layer_input[:, :, t, :]
-                z = np.matmul(x_t, w_ih_t) + np.matmul(h, w_hh_t) + bias
-                i_g = F.sigmoid(z[..., :h_dim])
-                f_g = F.sigmoid(z[..., h_dim : 2 * h_dim])
-                g_g = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
-                o_g = F.sigmoid(z[..., 3 * h_dim :])
-                c_new = f_g * cc + i_g * g_g
-                tanh_c = np.tanh(c_new)
-                h_new = o_g * tanh_c
-                steps.append(
-                    {
-                        "x": x_t, "h_prev": h, "c_prev": cc,
-                        "i": i_g, "f": f_g, "g": g_g, "o": o_g, "tanh_c": tanh_c,
-                    }
-                )
-                h, cc = h_new, c_new
-                outputs[:, :, t, :] = h_new
-            self._cache.append(steps)
-            layer_input = outputs
-        return layer_input[:, :, -1, :]
-
-    def backward(self, grad_h_last: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("CLSTM.backward called before forward")
-        c, n, t_steps, _ = self._x_shape
-        h_dim = self.hidden_size
-        dh_seq = np.zeros((c, n, t_steps, h_dim), dtype=np.float32)
-        dh_seq[:, :, -1, :] = grad_h_last
-        dx_seq: np.ndarray | None = None
-        for layer in range(self.num_layers - 1, -1, -1):
-            w_ih, w_hh, b_ih, b_hh = self._p[layer]
-            steps = self._cache[layer]
-            in_dim = self.input_size if layer == 0 else h_dim
-            # Stack layer 0's input gradient is the whole module's input
-            # gradient — skip the per-timestep dx matmuls when no earlier
-            # layer consumes it.
-            want_dx = layer > 0 or self.compute_dx
-            dx_seq = np.zeros((c, n, t_steps, in_dim), dtype=np.float32)
-            dh_next = np.zeros((c, n, h_dim), dtype=np.float32)
-            dc_next = np.zeros((c, n, h_dim), dtype=np.float32)
-            for t in range(t_steps - 1, -1, -1):
-                s = steps[t]
-                dh = dh_seq[:, :, t, :] + dh_next
-                do = dh * s["tanh_c"]
-                dc = dh * s["o"] * (1.0 - s["tanh_c"] ** 2) + dc_next
-                di = dc * s["g"]
-                df = dc * s["c_prev"]
-                dg = dc * s["i"]
-                dz = np.concatenate(
-                    [
-                        di * s["i"] * (1.0 - s["i"]),
-                        df * s["f"] * (1.0 - s["f"]),
-                        dg * (1.0 - s["g"] ** 2),
-                        do * s["o"] * (1.0 - s["o"]),
-                    ],
-                    axis=2,
-                )
-                dz_t = dz.transpose(0, 2, 1)  # (C, 4H, N)
-                w_ih.grad += np.matmul(dz_t, s["x"])
-                w_hh.grad += np.matmul(dz_t, s["h_prev"])
-                dbias = dz.sum(axis=1)
-                b_ih.grad += dbias
-                b_hh.grad += dbias
-                if want_dx:
-                    dx_seq[:, :, t, :] = np.matmul(dz, w_ih.data)
-                dh_next = np.matmul(dz, w_hh.data)
-                dc_next = dc * s["f"]
-            dh_seq = dx_seq
-        self._cache = None
-        return dx_seq
-
-
 # ----------------------------------------------------------------------
 # Chain extraction and model construction
 # ----------------------------------------------------------------------
-def _chain_of(module: Module, prefix: str = "") -> list[tuple[str, Module]]:
-    """Flatten a model into its ordered primitive forward chain with dotted
-    name prefixes; raises :class:`CohortUnsupportedModel` for topologies the
-    batched program cannot express."""
-    if isinstance(module, Sequential):
-        out: list[tuple[str, Module]] = []
-        for name in module._order:
-            out.extend(_chain_of(getattr(module, name), f"{prefix}{name}."))
-        return out
-    chain = getattr(module, "_chain", None)
-    if chain is not None:
-        # Chain members are direct submodules; recover their registered names.
-        by_id = {id(m): name for name, m in module._modules.items()}
-        out = []
-        for m in chain:
-            name = by_id.get(id(m))
-            if name is None:
-                raise CohortUnsupportedModel(
-                    f"{type(module).__name__}._chain contains an unregistered module"
-                )
-            out.extend(_chain_of(m, f"{prefix}{name}."))
-        return out
-    if type(module) in _CONVERTERS:
-        return [(prefix, module)]
-    if list(module._parameters) or list(module._buffers):
-        raise CohortUnsupportedModel(
-            f"layer {type(module).__name__} has no batched cohort twin"
-        )
-    # Parameter-free container without an explicit chain: fall back to its
-    # registration order, which matches forward order for simple heads
-    # (e.g. LSTMClassifier's rnn -> fc).
-    if module._modules:
-        out = []
-        for name, sub in module._modules.items():
-            out.extend(_chain_of(sub, f"{prefix}{name}."))
-        return out
-    raise CohortUnsupportedModel(
-        f"cannot extract a forward chain from {type(module).__name__}"
-    )
+def _chain_of(model: Module) -> list[tuple[str, Module]]:
+    """The model's ordered primitive forward chain with dotted name
+    prefixes; raises :class:`CohortUnsupportedModel` for topologies or
+    layers the batched program cannot express."""
+    try:
+        chain = list(forward_chain(model))
+    except ValueError as exc:
+        raise CohortUnsupportedModel(str(exc)) from exc
+    for _, module in chain:
+        if type(module) not in _CONVERTERS:
+            raise CohortUnsupportedModel(
+                f"layer {type(module).__name__} has no batched cohort twin"
+            )
+    return chain
 
 
+# Parameter-free layers that act elementwise or on the trailing spatial
+# axes run unchanged over the stacked (C, N, ...) tensors: a fresh instance
+# of the serial layer is the batched layer.
 _CONVERTERS = {
-    Linear: lambda pre, ref, c: CLinear(pre, ref, c),
-    Conv2d: lambda pre, ref, c: CConv2d(pre, ref, c),
-    ReLU: lambda pre, ref, c: CReLU(),
-    Tanh: lambda pre, ref, c: CTanh(),
-    Identity: lambda pre, ref, c: CIdentity(),
+    Linear: CLinear,
+    Conv2d: CConv2d,
+    ReLU: lambda pre, ref, c: ReLU(),
+    Tanh: lambda pre, ref, c: Tanh(),
+    Identity: lambda pre, ref, c: Identity(),
     Flatten: lambda pre, ref, c: CFlatten(),
     Dropout: lambda pre, ref, c: CDropout(ref, c),
-    MaxPool2d: lambda pre, ref, c: CMaxPool2d(ref),
-    AvgPool2d: lambda pre, ref, c: CAvgPool2d(ref),
-    GlobalAvgPool2d: lambda pre, ref, c: CGlobalAvgPool2d(),
-    GroupNorm2d: lambda pre, ref, c: CGroupNorm2d(pre, ref, c),
-    LSTM: lambda pre, ref, c: CLSTM(pre, ref, c),
+    MaxPool2d: lambda pre, ref, c: MaxPool2d(ref.kernel_size),
+    AvgPool2d: lambda pre, ref, c: AvgPool2d(ref.kernel_size),
+    GlobalAvgPool2d: lambda pre, ref, c: GlobalAvgPool2d(),
+    GroupNorm2d: CGroupNorm2d,
+    LSTM: CLSTM,
 }
 
 
@@ -686,14 +350,14 @@ class CohortModel:
         if cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")
         self.cohort_size = cohort_size
-        self.layers: list[_CohortLayer] = []
+        self.layers: list[_CohortLayer | Module] = []
         self._layer_prefixes: list[str] = []
         self.params: dict[str, CohortParameter] = {}
         for prefix, module in _chain_of(template):
             layer = _CONVERTERS[type(module)](prefix, module, cohort_size)
             self.layers.append(layer)
             self._layer_prefixes.append(prefix)
-            for p in layer.params():
+            for p in layer.parameters():
                 self.params[p.name] = p
         # Validate against the template's parameter census: a converter that
         # silently dropped a parameter would corrupt aggregation.
@@ -706,7 +370,8 @@ class CohortModel:
         self.params = {name: self.params[name] for name in template_names}
         self._dropouts = [l for l in self.layers if isinstance(l, CDropout)]
         # The first layer's input gradient has no consumer; let it skip the
-        # (often expensive) dX computation.
+        # (often expensive) dX computation, as serial training replicas do
+        # (:func:`repro.nn.module.skip_stem_input_grad`).
         if self.layers:
             self.layers[0].compute_dx = False
 
@@ -774,10 +439,9 @@ class CohortModel:
             x = layer.forward(x)
         return x
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
+    def backward(self, g: np.ndarray) -> None:
         for layer in reversed(self.layers):
             g = layer.backward(g)
-        return g
 
     def set_step_masks(
         self, active: np.ndarray, valid_counts: np.ndarray
@@ -792,6 +456,12 @@ class CohortModel:
 # ----------------------------------------------------------------------
 # Loss and optimizer
 # ----------------------------------------------------------------------
+#: Contraction path of the masked per-member loss reduction, given
+#: literally: it is the optimal (and only) two-operand path, and numpy's
+#: path-driven contraction sums in another order than its default kernel.
+LOSS_EINSUM_PATH = ["einsum_path", (0, 1)]
+
+
 def cohort_softmax_cross_entropy(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -821,8 +491,10 @@ def cohort_softmax_cross_entropy(
     ci = np.arange(c)[:, None]
     bi = np.arange(b)[None, :]
     picked = log_probs[ci, bi, labels]  # (C, B)
-    # Masked per-member reduction through the shared einsum-plan cache.
-    loss = -planned_einsum("cb,cb->c", picked.astype(np.float64), valid.astype(np.float64)) / safe
+    loss = -np.einsum(
+        "cb,cb->c", picked.astype(np.float64), valid.astype(np.float64),
+        optimize=LOSS_EINSUM_PATH,
+    ) / safe
 
     grad = F.softmax(logits, axis=2)
     grad[ci, bi, labels] -= 1.0

@@ -39,20 +39,21 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        out = x @ self.weight.data.T
-        if self.bias is not None:
-            out += self.bias.data
-        return out
+        bias = None if self.bias is None else self.bias.data[None]
+        return F.linear_forward(x[None], self.weight.data[None], bias)[0]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         x = self._x
         if x is None:
             raise RuntimeError("Linear.backward called before forward")
         self._x = None
-        self.weight.grad += grad_out.T @ x
+        dw, db, dx = F.linear_backward(
+            grad_out[None], x[None], self.weight.data[None], want_dx=self.compute_dx
+        )
+        self.weight.grad += dw[0]
         if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.data
+            self.bias.grad += db[0]
+        return None if dx is None else dx[0]
 
 
 class ReLU(Module):
@@ -154,6 +155,11 @@ class Sequential(Module):
 
     def __len__(self) -> int:
         return len(self._order)
+
+    @property
+    def _chain(self) -> list[Module]:
+        """Forward order, as :func:`repro.nn.module.forward_chain` reads it."""
+        return list(self)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for module in self:

@@ -22,11 +22,17 @@ import numpy as np
 
 from .parameter import Parameter
 
-__all__ = ["Module"]
+__all__ = ["Module", "forward_chain", "skip_stem_input_grad"]
 
 
 class Module:
     """Base layer with parameter registration and mode switching."""
+
+    #: When False, a parametrised layer's :meth:`backward` skips the
+    #: gradient w.r.t. its *input* and returns ``None``; parameter gradients
+    #: are unaffected. :func:`skip_stem_input_grad` clears it on a training
+    #: replica's first layer, whose input gradient nothing consumes.
+    compute_dx: bool = True
 
     def __init__(self) -> None:
         # OrderedDicts keep parameter order deterministic, which matters for
@@ -181,3 +187,50 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
+
+
+def forward_chain(module: Module, prefix: str = "") -> Iterator[tuple[str, Module]]:
+    """Yield ``(dotted_prefix, layer)`` for the primitive (submodule-free)
+    layers of ``module`` in forward order.
+
+    A container states its forward order in ``_chain`` (a list of its
+    registered submodules; :class:`~repro.nn.layers.Sequential` exposes its
+    own). A parameter-free container without one is walked in registration
+    order, which matches forward order for simple heads (e.g.
+    ``LSTMClassifier``'s ``rnn -> fc``). Raises ``ValueError`` on a module
+    whose order cannot be read; the walk is lazy, so the layers before such
+    a module are still yielded.
+    """
+    chain = getattr(module, "_chain", None)
+    if chain is not None:
+        # Chain members are direct submodules; recover their registered names.
+        by_id = {id(m): name for name, m in module._modules.items()}
+        for m in chain:
+            name = by_id.get(id(m))
+            if name is None:
+                raise ValueError(
+                    f"{type(module).__name__}._chain contains an unregistered module"
+                )
+            yield from forward_chain(m, f"{prefix}{name}.")
+    elif not module._modules:
+        yield prefix, module
+    elif module._parameters or module._buffers:
+        raise ValueError(
+            f"cannot extract a forward chain from {type(module).__name__}: "
+            "it holds parameters next to submodules"
+        )
+    else:
+        for name, sub in module._modules.items():
+            yield from forward_chain(sub, f"{prefix}{name}.")
+
+
+def skip_stem_input_grad(model: Module) -> None:
+    """Let the first layer in ``model``'s forward order skip its input
+    gradient (``compute_dx = False``): for a model being trained, the
+    gradient w.r.t. the data batch has no consumer. Parameter gradients are
+    unchanged; the model's :meth:`~Module.backward` then returns ``None``."""
+    try:
+        _, first = next(forward_chain(model))
+    except (StopIteration, ValueError):
+        return
+    first.compute_dx = False

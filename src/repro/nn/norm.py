@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import functional as F
 from .module import Module
 from .parameter import Parameter
 
@@ -106,28 +107,17 @@ class GroupNorm2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.num_channels:
             raise ValueError(f"expected {self.num_channels} channels, got {x.shape[1]}")
-        n, c, h, w = x.shape
-        g = self.num_groups
-        grouped = x.reshape(n, g, c // g, h, w)
-        mean = grouped.mean(axis=(2, 3, 4), keepdims=True)
-        var = grouped.var(axis=(2, 3, 4), keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = ((grouped - mean) * inv_std).reshape(n, c, h, w)
-        self._cache = (x_hat, inv_std, (n, c, h, w))
-        return self.weight.data[None, :, None, None] * x_hat + self.bias.data[None, :, None, None]
+        out, self._cache = F.group_norm_forward(
+            x[None], self.weight.data[None], self.bias.data[None],
+            self.num_groups, self.eps,
+        )
+        return out[0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("GroupNorm2d.backward called before forward")
-        x_hat, inv_std, (n, c, h, w) = self._cache
-        self._cache = None
-        g = self.num_groups
-        m = (c // g) * h * w  # elements per group per sample
-        self.weight.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
-        self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        gy = (grad_out * self.weight.data[None, :, None, None]).reshape(n, g, c // g, h, w)
-        xh = x_hat.reshape(n, g, c // g, h, w)
-        sum_gy = gy.sum(axis=(2, 3, 4), keepdims=True)
-        sum_gyxh = (gy * xh).sum(axis=(2, 3, 4), keepdims=True)
-        dx = (inv_std / m) * (m * gy - sum_gy - xh * sum_gyxh)
-        return dx.reshape(n, c, h, w)
+        cache, self._cache = self._cache, None
+        dw, db, dx = F.group_norm_backward(grad_out[None], self.weight.data[None], cache)
+        self.weight.grad += dw[0]
+        self.bias.grad += db[0]
+        return dx[0]

@@ -1,61 +1,46 @@
-"""Spatial pooling layers."""
+"""Spatial pooling layers.
+
+Pooling acts on the last two (spatial) axes and broadcasts over every
+leading axis, so the same layer serves ``(N, C, H, W)`` serial batches and
+the cohort program's ``(M, N, C, H, W)`` member stacks.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import functional as F
 from .module import Module
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
 
+def _check_kernel(kernel_size: int) -> int:
+    if kernel_size < 1:
+        raise ValueError("kernel_size must be >= 1")
+    return kernel_size
+
+
 class MaxPool2d(Module):
     """Non-overlapping max pooling (``stride == kernel_size``).
 
-    The forward reshapes ``(N, C, H, W)`` into pooling windows with a view
-    (no copy) and records the argmax mask for the backward scatter.
     Inputs whose spatial dims are not multiples of the kernel are truncated,
-    matching torch's floor-mode behaviour.
+    matching torch's floor-mode behaviour. Tied maxima split the gradient
+    evenly (:func:`repro.nn.functional.maxpool2d_backward`).
     """
 
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
-        if kernel_size < 1:
-            raise ValueError("kernel_size must be >= 1")
-        self.kernel_size = kernel_size
-        self._mask: np.ndarray | None = None
-        self._x_shape: tuple[int, ...] | None = None
-        self._trunc: tuple[int, int] | None = None
+        self.kernel_size = _check_kernel(kernel_size)
+        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        n, c, h, w = x.shape
-        th, tw = (h // k) * k, (w // k) * k
-        self._x_shape = x.shape
-        self._trunc = (th, tw)
-        xt = x[:, :, :th, :tw]
-        windows = xt.reshape(n, c, th // k, k, tw // k, k)
-        out = windows.max(axis=(3, 5))
-        # Mask marks, within each window, the positions equal to the max.
-        # Ties propagate gradient to every maximal element; acceptable for
-        # training and keeps the backward a pure broadcast.
-        self._mask = windows == out[:, :, :, None, :, None]
-        self._tie_counts = self._mask.sum(axis=(3, 5))
+        out, self._cache = F.maxpool2d_forward(x, self.kernel_size)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        n, c, h, w = self._x_shape
-        th, tw = self._trunc
-        # Split gradient evenly among tied maxima so the pooled gradient sum
-        # is conserved (an invariant the property tests check).
-        g = grad_out / self._tie_counts
-        grad_windows = self._mask * g[:, :, :, None, :, None]
-        self._mask = None
-        self._tie_counts = None
-        grad = np.zeros(self._x_shape, dtype=grad_out.dtype)
-        grad[:, :, :th, :tw] = grad_windows.reshape(n, c, th, tw)
-        return grad
+        cache, self._cache = self._cache, None
+        return F.maxpool2d_backward(grad_out, self.kernel_size, cache)
 
 
 class AvgPool2d(Module):
@@ -63,31 +48,28 @@ class AvgPool2d(Module):
 
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
-        if kernel_size < 1:
-            raise ValueError("kernel_size must be >= 1")
-        self.kernel_size = kernel_size
+        self.kernel_size = _check_kernel(kernel_size)
         self._x_shape: tuple[int, ...] | None = None
-        self._trunc: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         k = self.kernel_size
-        n, c, h, w = x.shape
-        th, tw = (h // k) * k, (w // k) * k
+        *lead, h, w = x.shape
         self._x_shape = x.shape
-        self._trunc = (th, tw)
-        windows = x[:, :, :th, :tw].reshape(n, c, th // k, k, tw // k, k)
-        return windows.mean(axis=(3, 5))
+        windows = x[..., : (h // k) * k, : (w // k) * k].reshape(
+            *lead, h // k, k, w // k, k
+        )
+        return windows.mean(axis=(-3, -1))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         k = self.kernel_size
-        n, c, h, w = self._x_shape
-        th, tw = self._trunc
+        *lead, h, w = self._x_shape
+        oh, ow = grad_out.shape[-2:]
         g = grad_out / (k * k)
         grad = np.zeros(self._x_shape, dtype=grad_out.dtype)
         expanded = np.broadcast_to(
-            g[:, :, :, None, :, None], (n, c, th // k, k, tw // k, k)
+            g[..., :, None, :, None], (*lead, oh, k, ow, k)
         )
-        grad[:, :, :th, :tw] = expanded.reshape(n, c, th, tw)
+        grad[..., : oh * k, : ow * k] = expanded.reshape(*lead, oh * k, ow * k)
         return grad
 
 
@@ -100,11 +82,11 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
+        return x.mean(axis=(-2, -1))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._x_shape
+        h, w = self._x_shape[-2:]
         g = grad_out / (h * w)
-        return np.broadcast_to(g[:, :, None, None], self._x_shape).astype(
+        return np.broadcast_to(g[..., None, None], self._x_shape).astype(
             grad_out.dtype
         ).copy()

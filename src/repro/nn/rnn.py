@@ -56,8 +56,7 @@ class LSTM(Module):
             self.register_parameter(
                 f"bias_hh_l{layer}", Parameter(init.lstm_uniform((4 * h,), h, rng))
             )
-        self._cache: list[list[dict]] | None = None
-        self._x_shape: tuple[int, int, int] | None = None
+        self._cache: tuple | None = None
 
     # ------------------------------------------------------------------
     def _params(self, layer: int) -> tuple[Parameter, Parameter, Parameter, Parameter]:
@@ -69,90 +68,29 @@ class LSTM(Module):
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, t_steps, d = x.shape
+        _, _, d = x.shape
         if d != self.input_size:
             raise ValueError(f"expected input size {self.input_size}, got {d}")
-        h_dim = self.hidden_size
-        self._x_shape = x.shape
-        self._cache = []
-        layer_input = x
-        for layer in range(self.num_layers):
-            w_ih, w_hh, b_ih, b_hh = self._params(layer)
-            h = np.zeros((n, h_dim), dtype=np.float32)
-            c = np.zeros((n, h_dim), dtype=np.float32)
-            steps: list[dict] = []
-            outputs = np.empty((n, t_steps, h_dim), dtype=np.float32)
-            for t in range(t_steps):
-                x_t = layer_input[:, t, :]
-                z = (
-                    x_t @ w_ih.data.T
-                    + h @ w_hh.data.T
-                    + b_ih.data
-                    + b_hh.data
-                )
-                i_g = F.sigmoid(z[:, :h_dim])
-                f_g = F.sigmoid(z[:, h_dim : 2 * h_dim])
-                g_g = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
-                o_g = F.sigmoid(z[:, 3 * h_dim :])
-                c_new = f_g * c + i_g * g_g
-                tanh_c = np.tanh(c_new)
-                h_new = o_g * tanh_c
-                steps.append(
-                    {
-                        "x": x_t, "h_prev": h, "c_prev": c,
-                        "i": i_g, "f": f_g, "g": g_g, "o": o_g, "tanh_c": tanh_c,
-                    }
-                )
-                h, c = h_new, c_new
-                outputs[:, t, :] = h_new
-            self._cache.append(steps)
-            layer_input = outputs
-        return layer_input[:, -1, :]
+        params = [
+            tuple(p.data[None] for p in self._params(layer))
+            for layer in range(self.num_layers)
+        ]
+        self._cache = None  # release the previous step cache before building one
+        out, self._cache = F.lstm_forward(x[None], params)
+        return out[0]
 
-    def backward(self, grad_h_last: np.ndarray) -> np.ndarray:
+    def backward(self, grad_h_last: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("LSTM.backward called before forward")
-        n, t_steps, _ = self._x_shape
-        h_dim = self.hidden_size
-        # Gradient flowing into each timestep's hidden output of the layer
-        # currently being processed (from the layer above, or the loss).
-        dh_seq = np.zeros((n, t_steps, h_dim), dtype=np.float32)
-        dh_seq[:, -1, :] = grad_h_last
-        dx_seq: np.ndarray | None = None
-        for layer in range(self.num_layers - 1, -1, -1):
-            w_ih, w_hh, b_ih, b_hh = self._params(layer)
-            steps = self._cache[layer]
-            in_dim = self.input_size if layer == 0 else h_dim
-            dx_seq = np.zeros((n, t_steps, in_dim), dtype=np.float32)
-            dh_next = np.zeros((n, h_dim), dtype=np.float32)
-            dc_next = np.zeros((n, h_dim), dtype=np.float32)
-            for t in range(t_steps - 1, -1, -1):
-                s = steps[t]
-                dh = dh_seq[:, t, :] + dh_next
-                do = dh * s["tanh_c"]
-                dc = dh * s["o"] * (1.0 - s["tanh_c"] ** 2) + dc_next
-                di = dc * s["g"]
-                df = dc * s["c_prev"]
-                dg = dc * s["i"]
-                dz = np.concatenate(
-                    [
-                        di * s["i"] * (1.0 - s["i"]),
-                        df * s["f"] * (1.0 - s["f"]),
-                        dg * (1.0 - s["g"] ** 2),
-                        do * s["o"] * (1.0 - s["o"]),
-                    ],
-                    axis=1,
-                )
-                w_ih.grad += dz.T @ s["x"]
-                w_hh.grad += dz.T @ s["h_prev"]
-                dbias = dz.sum(axis=0)
-                b_ih.grad += dbias
-                b_hh.grad += dbias
-                dx_seq[:, t, :] = dz @ w_ih.data
-                dh_next = dz @ w_hh.data
-                dc_next = dc * s["f"]
-            dh_seq = dx_seq  # feeds the layer below
         # The per-step gate cache holds O(T * layers) activations — by far
         # the largest retained state; drop it once consumed.
-        self._cache = None
-        return dx_seq
+        cache, self._cache = self._cache, None
+        quads = [self._params(layer) for layer in range(self.num_layers)]
+        dx = F.lstm_backward(
+            grad_h_last[None],
+            [tuple(p.data[None] for p in quad) for quad in quads],
+            [tuple(p.grad[None] for p in quad) for quad in quads],
+            cache,
+            want_dx=self.compute_dx,
+        )
+        return None if dx is None else dx[0]

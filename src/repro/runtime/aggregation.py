@@ -75,10 +75,9 @@ def _weighted_average(
         stacked = np.stack(
             [np.asarray(getattr(r, attr)[name], dtype=np.float64) for r in results]
         )
-        # NOTE: deliberately *not* routed through the shared einsum-path
-        # cache (repro.nn.einsum_cache): an optimized path changes the
-        # float64 reduction order here, which would break the bitwise
-        # identity of histories against pre-existing runs.
+        # NOTE: deliberately *not* given an optimized einsum path: that
+        # changes the float64 reduction order here, which would break the
+        # bitwise identity of histories against pre-existing runs.
         out[name] = np.einsum("c,c...->...", weights, stacked).astype(np.float32)
     return out
 

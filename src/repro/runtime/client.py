@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from ..data import BatchStream, Dataset
-from ..nn import Module, softmax_cross_entropy
+from ..nn import Module, skip_stem_input_grad, softmax_cross_entropy
 from ..sysmodel import LinkModel, SpeedTrace, UplinkScheduler
 
 __all__ = ["SimClient"]
@@ -36,6 +36,7 @@ class SimClient:
         self.client_id = client_id
         self.shard = shard
         self.model = model_fn()
+        skip_stem_input_grad(self.model)
         self.stream = BatchStream(shard, batch_size, seed=seed)
         self.trace = trace
         self.link = link

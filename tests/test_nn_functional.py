@@ -58,23 +58,20 @@ class TestSoftmax:
 
 class TestIm2Col:
     def test_geometry(self):
-        k, i, j, oh, ow = F.im2col_indices(3, 8, 8, 3, 3, 1, 1)
-        assert (oh, ow) == (8, 8)
-        assert k.shape == (3 * 9, 1)
-        assert i.shape == (27, 64)
+        assert F.conv_output_size(8, 8, 3, 1, 1) == (8, 8)
+        cols = F.im2col(RNG.normal(size=(2, 3, 8, 8)), 3, 1, 1)
+        assert cols.shape == (2, 3 * 9, 64)
 
     def test_stride_geometry(self):
-        _, _, _, oh, ow = F.im2col_indices(1, 8, 8, 3, 3, 2, 1)
-        assert (oh, ow) == (4, 4)
+        assert F.conv_output_size(8, 8, 3, 2, 1) == (4, 4)
 
     def test_empty_output_raises(self):
         with pytest.raises(ValueError):
-            F.im2col_indices(1, 2, 2, 5, 5, 1, 0)
+            F.conv_output_size(2, 2, 5, 1, 0)
 
     def test_im2col_extracts_patches(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        idx = F.im2col_indices(1, 4, 4, 2, 2, 1, 0)
-        cols = F.im2col(x, idx, 0)
+        cols = F.im2col(x, 2, 1, 0)
         # First column is the top-left 2x2 patch.
         np.testing.assert_array_equal(cols[0, :, 0], [0, 1, 4, 5])
         # Last column is the bottom-right patch.
@@ -83,16 +80,14 @@ class TestIm2Col:
     def test_col2im_accumulates_overlaps(self):
         # All-ones columns: each input position receives one contribution per
         # window that covers it.
-        idx = F.im2col_indices(1, 3, 3, 2, 2, 1, 0)
         cols = np.ones((1, 4, 4))
-        out = F.col2im(cols, (1, 1, 3, 3), idx, 0)
+        out = F.col2im(cols, (1, 1, 3, 3), 2, 1, 0)
         np.testing.assert_array_equal(
             out[0, 0], [[1, 2, 1], [2, 4, 2], [1, 2, 1]]
         )
 
     def test_padding_roundtrip_shape(self):
         x = RNG.normal(size=(2, 2, 5, 5))
-        idx = F.im2col_indices(2, 5, 5, 3, 3, 1, 1)
-        cols = F.im2col(x, idx, 1)
-        back = F.col2im(cols, x.shape, idx, 1)
+        cols = F.im2col(x, 3, 1, 1)
+        back = F.col2im(cols, x.shape, 3, 1, 1)
         assert back.shape == x.shape

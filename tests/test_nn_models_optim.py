@@ -14,6 +14,7 @@ from repro.nn import (
     WideResNet,
     accuracy,
     build_model,
+    skip_stem_input_grad,
     softmax_cross_entropy,
 )
 
@@ -221,6 +222,21 @@ class TestModels:
             model.backward(g)
             opt.step()
         assert accuracy(model(x), y) == 1.0
+
+    def test_stem_skip_keeps_parameter_grads(self):
+        """Skipping the first layer's input gradient changes no parameter
+        gradient bit; the model's backward then returns nothing."""
+        full, skipped = (LeNetCNN(rng=np.random.default_rng(6)) for _ in range(2))
+        skip_stem_input_grad(skipped)
+        assert not skipped.conv1.compute_dx and full.conv1.compute_dx
+        x = randn(5, 3, 12, 12)
+        _, g = softmax_cross_entropy(full(x), np.arange(5))
+        assert full.backward(g).shape == x.shape
+        skipped(x)
+        assert skipped.backward(g) is None
+        grads = {n: p.grad for n, p in skipped.named_parameters()}
+        for name, p in full.named_parameters():
+            np.testing.assert_array_equal(grads[name], p.grad, err_msg=name)
 
     def test_residual_block_shape_change(self):
         block = ResidualBlock(4, 8, stride=2, rng=RNG)

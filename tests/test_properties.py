@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,34 @@ class TestAggregationProperties:
 # ----------------------------------------------------------------------
 # im2col / col2im
 # ----------------------------------------------------------------------
+def gather_indices(c, h, w, k, stride, pad):
+    """Fancy-index triple ``(ch, i, j)`` with ``padded[:, ch, i, j]`` the
+    ``(N, C*k*k, out_h*out_w)`` column tensor — the gather the im2col
+    kernels used before their strided-view rewrite."""
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (w + 2 * pad - k) // stride + 1
+    i = np.tile(np.repeat(np.arange(k), k), c)[:, None] + stride * np.repeat(
+        np.arange(out_h), out_w
+    )
+    j = np.tile(np.arange(k), k * c)[:, None] + stride * np.tile(
+        np.arange(out_w), out_h
+    )
+    ch = np.repeat(np.arange(c), k * k)[:, None]
+    return ch, i, j
+
+
+def scatter_col2im(cols, x_shape, k, stride, pad):
+    """Reference fold: the element-wise ``np.add.at`` scatter over the
+    gather indices that ``F.col2im`` used before its strided slice-add
+    rewrite."""
+    n, c, h, w = x_shape
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    np.add.at(padded, (slice(None), *gather_indices(c, h, w, k, stride, pad)), cols)
+    if pad > 0:
+        return padded[:, :, pad:-pad, pad:-pad]
+    return padded
+
+
 class TestConvKernelProperties:
     @given(
         st.integers(min_value=1, max_value=3),   # channels
@@ -288,14 +318,53 @@ class TestConvKernelProperties:
         if hw + 2 * pad < k:
             return
         rng = np.random.default_rng(seed)
-        idx = F.im2col_indices(c, hw, hw, k, k, stride, pad)
         x = rng.normal(size=(2, c, hw, hw))
-        cols = F.im2col(x, idx, pad)
+        cols = F.im2col(x, k, stride, pad)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
-        back = F.col2im(y, x.shape, idx, pad)
+        back = F.col2im(y, x.shape, k, stride, pad)
         rhs = float((x * back).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+    @given(
+        st.integers(min_value=1, max_value=3),   # N
+        st.integers(min_value=1, max_value=3),   # C
+        st.integers(min_value=1, max_value=9),   # H
+        st.integers(min_value=1, max_value=9),   # W
+        st.integers(min_value=1, max_value=4),   # kernel
+        st.integers(min_value=1, max_value=3),   # stride
+        st.integers(min_value=0, max_value=5),   # pad, may exceed k - 1
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_col2im_slice_fold_matches_scatter(self, n, c, h, w, k, stride, pad, seed):
+        """The strided slice-add fold is bitwise the element-wise scatter
+        it replaced (:func:`scatter_col2im`), and the strided-view im2col
+        the fancy-index gather, over random geometries."""
+        from repro.nn import functional as F
+
+        if min(h, w) + 2 * pad < k:
+            return
+        out_h, out_w = F.conv_output_size(h, w, k, stride, pad)
+        rng = np.random.default_rng(seed)
+        cols = rng.normal(size=(n, c * k * k, out_h * out_w)).astype(np.float32)
+        np.testing.assert_array_equal(
+            F.col2im(cols, (n, c, h, w), k, stride, pad),
+            scatter_col2im(cols, (n, c, h, w), k, stride, pad),
+        )
+        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        np.testing.assert_array_equal(
+            F.im2col(x, k, stride, pad),
+            padded[(slice(None), *gather_indices(c, h, w, k, stride, pad))],
+        )
+
+    def test_src_has_no_scatter_add(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        hits = [
+            str(path) for path in src.rglob("*.py") if "np.add.at" in path.read_text()
+        ]
+        assert hits == []
 
     @given(
         st.integers(min_value=1, max_value=2),
@@ -308,9 +377,8 @@ class TestConvKernelProperties:
         from repro.nn import functional as F
 
         rng = np.random.default_rng(seed)
-        idx = F.im2col_indices(c, hw, hw, 1, 1, 1, 0)
         x = rng.normal(size=(1, c, hw, hw))
-        cols = F.im2col(x, idx, 0)
+        cols = F.im2col(x, 1, 1, 0)
         np.testing.assert_allclose(cols.reshape(1, c, hw, hw), x)
 
 
