@@ -98,6 +98,9 @@ class _CohortLayer:
     def backward(self, g: np.ndarray) -> np.ndarray | None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def release_scratch(self) -> None:
+        """Free the arrays the layer reuses from step to step (none here)."""
+
 
 def _stacked(prefix: str, ref: Module, cohort_size: int) -> dict[str, CohortParameter]:
     """One stacked parameter per parameter of the serial layer ``ref``."""
@@ -193,9 +196,9 @@ class CGroupNorm2d(_CAffine):
 
 
 class CLSTM(_CohortLayer):
-    """Batched stacked LSTM: each timestep's gate matmuls advance all M
-    clients in one batched GEMM per operand
-    (:func:`repro.nn.functional.lstm_forward`)."""
+    """Batched stacked LSTM: per layer, one batched GEMM projects every
+    timestep's input for all M clients, and each step's recurrence advances
+    all of them in one more (:func:`repro.nn.functional.lstm_forward`)."""
 
     def __init__(self, prefix: str, ref: LSTM, cohort_size: int) -> None:
         self.input_size = ref.input_size
@@ -208,6 +211,8 @@ class CLSTM(_CohortLayer):
             for layer in range(ref.num_layers)
         ]
         self._cache: tuple | None = None
+        # The step cache and backward temporaries, reused from step to step.
+        self._workspace: dict[str, np.ndarray] = {}
 
     def parameters(self) -> list[CohortParameter]:
         return [p for quad in self._p for p in quad]
@@ -217,8 +222,12 @@ class CLSTM(_CohortLayer):
             raise ValueError(f"expected input size {self.input_size}, got {x.shape[3]}")
         params = [tuple(p.data for p in quad) for quad in self._p]
         self._cache = None  # release the previous step cache before building one
-        out, self._cache = F.lstm_forward(x, params)
+        out, self._cache = F.lstm_forward(x, params, self._workspace)
         return out
+
+    def release_scratch(self) -> None:
+        self._cache = None
+        self._workspace = {}
 
     def backward(self, grad_h_last: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
@@ -230,6 +239,7 @@ class CLSTM(_CohortLayer):
             [tuple(p.grad for p in quad) for quad in self._p],
             cache,
             want_dx=self.compute_dx,
+            workspace=self._workspace,
         )
 
 
@@ -428,6 +438,13 @@ class CohortModel:
         for i, model in enumerate(models):
             for name, p in model.named_parameters():
                 p.data[...] = self.params[name].data[i]
+
+    def release_scratch(self) -> None:
+        """Free the layers' step-to-step scratch arrays once training ends,
+        so they do not stay resident beside the next evaluation."""
+        for layer in self.layers:
+            if isinstance(layer, _CohortLayer):
+                layer.release_scratch()
 
     # ------------------------------------------------------------------
     def zero_grad(self) -> None:

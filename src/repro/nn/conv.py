@@ -49,9 +49,10 @@ class Conv2d(Module):
         if x.shape[1] != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {x.shape[1]}")
         bias = None if self.bias is None else self.bias.data[None]
-        out, self._cache = F.conv2d_forward(
+        out, cache = F.conv2d_forward(
             x[None], self.weight.data[None], bias, self.stride, self.padding
         )
+        self._cache = cache if self.training else None
         return out[0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:

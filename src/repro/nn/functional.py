@@ -48,15 +48,15 @@ def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0.0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    # Split by sign to stay overflow-free in float32.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic sigmoid, optionally written into ``out``.
+
+    ``exp(min(x, 0)) / (1 + exp(-|x|))`` is ``1 / (1 + e⁻ˣ)`` for
+    ``x ≥ 0`` (the numerator is exactly 1) and ``eˣ / (1 + eˣ)`` for
+    ``x < 0``: neither exponent is ever positive, so nothing overflows in
+    float32, and no sign mask splits the array.
+    """
+    return np.divide(np.exp(np.minimum(x, 0)), 1 + np.exp(-np.abs(x)), out=out)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -297,50 +297,80 @@ def group_norm_backward(
     return dw, db, dx.reshape(x_hat.shape)
 
 
+def _scratch(workspace: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float32 array of ``shape``: ``workspace[key]`` when
+    that already has the shape, else a new array (kept there for the next
+    call when a ``workspace`` is given)."""
+    if workspace is None:
+        return np.empty(shape, dtype=np.float32)
+    arr = workspace.get(key)
+    if arr is None or arr.shape != shape:
+        arr = workspace[key] = np.empty(shape, dtype=np.float32)
+    return arr
+
+
 def lstm_forward(
-    x: np.ndarray, params: list[tuple[np.ndarray, ...]]
+    x: np.ndarray,
+    params: list[tuple[np.ndarray, ...]],
+    workspace: dict | None = None,
 ) -> tuple[np.ndarray, tuple]:
-    """Stacked LSTM over ``(C, N, T, D)``; returns the top layer's final
-    hidden state ``(C, N, H)``.
+    """Stacked LSTM over float32 ``(C, N, T, D)``; returns the top layer's
+    final hidden state ``(C, N, H)``.
 
     ``params[l]`` is layer ``l``'s ``(W_ih, W_hh, b_ih, b_hh)``, gates in
-    torch's ``i, f, g, o`` order. The python time loop is inherently
-    sequential; each step's gate pre-activation is two batched matmuls plus
-    the summed bias.
+    torch's ``i, f, g, o`` order. Work runs time-major. Per layer, the
+    input projection ``x_t @ W_ihᵀ`` of every step is one batched matmul
+    before the time loop; each step then runs only the recurrence:
+    ``(proj_t + h @ W_hhᵀ) + bias``, one sigmoid over the whole ``4H`` gate
+    block (the ``g`` slice is then overwritten with ``tanh``) and the cell
+    update. The cache keeps per layer the stacked arrays the backward pass
+    reads: the input ``(T, C, N, D)``, the gate activations gate-major
+    ``(T, 4, C, N, H)`` (so each gate is one contiguous block), ``h`` and
+    ``c`` as ``(T + 1, C, N, H)`` with the zero initial state in row 0, and
+    ``tanh(c)``.
+
+    With a ``workspace`` dict (owned by the caller, reused across calls)
+    those stacks and the projection are written into its arrays instead of
+    fresh ones, so the cache is valid only until the next call with that
+    workspace. Without one, a batched training step allocates and frees
+    several ``(T, C, N, 4H)`` stacks per layer; at cohort sizes that is
+    enough for the allocator to shrink and regrow the heap every step, and
+    the step then spends a fifth of its time in page faults whose cost
+    swings with the host's load.
     """
     c, n, t_steps, _ = x.shape
     h_dim = params[0][1].shape[-1]
-    cache: list[list[dict]] = []
-    layer_input = x
+    cache: list[tuple[np.ndarray, ...]] = []
+    layer_input = x.transpose(2, 0, 1, 3)
     for w_ih, w_hh, b_ih, b_hh in params:
-        w_ih_t = w_ih.transpose(0, 2, 1)
+        # The transposed weight views pick the same BLAS routines as a
+        # step-by-step matmul at every shape; contiguous copies would not.
         w_hh_t = w_hh.transpose(0, 2, 1)
+        proj = np.matmul(
+            layer_input, w_ih.transpose(0, 2, 1),
+            out=_scratch(workspace, "proj", (t_steps, c, n, 4 * h_dim)),
+        )
         bias = (b_ih + b_hh)[:, None, :]
-        h = np.zeros((c, n, h_dim), dtype=np.float32)
-        cc = np.zeros((c, n, h_dim), dtype=np.float32)
-        steps: list[dict] = []
-        outputs = np.empty((c, n, t_steps, h_dim), dtype=np.float32)
+        layer = len(cache)
+        gates = _scratch(workspace, f"gates{layer}", (t_steps, 4, c, n, h_dim))
+        h = _scratch(workspace, f"h{layer}", (t_steps + 1, c, n, h_dim))
+        cs = _scratch(workspace, f"c{layer}", (t_steps + 1, c, n, h_dim))
+        tanh_c = _scratch(workspace, f"tanh_c{layer}", (t_steps, c, n, h_dim))
+        h[0] = 0.0
+        cs[0] = 0.0
+        i_g, f_g, g_g, o_g = (gates[:, k] for k in range(4))
         for t in range(t_steps):
-            x_t = layer_input[:, :, t, :]
-            z = np.matmul(x_t, w_ih_t) + np.matmul(h, w_hh_t) + bias
-            i_g = sigmoid(z[..., :h_dim])
-            f_g = sigmoid(z[..., h_dim : 2 * h_dim])
-            g_g = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
-            o_g = sigmoid(z[..., 3 * h_dim :])
-            c_new = f_g * cc + i_g * g_g
-            tanh_c = np.tanh(c_new)
-            h_new = o_g * tanh_c
-            steps.append(
-                {
-                    "x": x_t, "h_prev": h, "c_prev": cc,
-                    "i": i_g, "f": f_g, "g": g_g, "o": o_g, "tanh_c": tanh_c,
-                }
-            )
-            h, cc = h_new, c_new
-            outputs[:, :, t, :] = h_new
-        cache.append(steps)
-        layer_input = outputs
-    return layer_input[:, :, -1, :], (cache, x.shape)
+            z = proj[t] + np.matmul(h[t], w_hh_t)
+            z += bias
+            z = z.reshape(c, n, 4, h_dim)
+            sigmoid(z, out=gates[t].transpose(1, 2, 0, 3))
+            np.tanh(z[:, :, 2], out=g_g[t])
+            np.add(f_g[t] * cs[t], i_g[t] * g_g[t], out=cs[t + 1])
+            np.tanh(cs[t + 1], out=tanh_c[t])
+            np.multiply(o_g[t], tanh_c[t], out=h[t + 1])
+        cache.append((layer_input, gates, h, cs, tanh_c))
+        layer_input = h[1:]
+    return h[-1].copy(), (cache, x.shape)
 
 
 def lstm_backward(
@@ -350,55 +380,72 @@ def lstm_backward(
     cache: tuple,
     *,
     want_dx: bool = True,
+    workspace: dict | None = None,
 ) -> np.ndarray | None:
     """Full BPTT through :func:`lstm_forward`; returns the input gradient.
 
-    The parameter gradients accumulate per timestep, in place, into
-    ``grads[l]`` — layer ``l``'s ``(dW_ih, dW_hh, db_ih, db_hh)`` arrays,
-    shaped like ``params[l]``.
+    The parameter gradients accumulate, in place, into ``grads[l]`` —
+    layer ``l``'s ``(dW_ih, dW_hh, db_ih, db_hh)`` arrays, shaped like
+    ``params[l]``. Each step of the time loop computes only what the
+    recurrence needs: ``dh``, ``dc``, the gate pre-activation gradient
+    ``dz_t`` (stored into a ``(T, C, N, 4H)`` stack), ``dz_t @ W_hh`` and
+    ``dc·f``. The activation derivatives ``1 − a`` / ``1 − g²`` and
+    ``1 − tanh(c)²`` are computed for all steps before the loop; the bias
+    sums and the input gradient are one batched sum and one batched matmul
+    after it, the weight gradients one matmul per step (a batched one
+    allocates ``(T, C, 4H, ·)`` outputs that page-fault on every call).
+    Every product keeps the operand order of a step-by-step BPTT, and the
+    per-step weight and bias terms are added into ``grads[l]`` one step at
+    a time in descending ``t``, so the sums are bitwise those of that BPTT
+    (a single reduction over ``T`` would reorder them). A ``workspace``
+    holds the per-layer temporaries across calls, as in :func:`lstm_forward`.
     """
-    steps_by_layer, (c, n, t_steps, _) = cache
+    layers, (c, n, t_steps, _) = cache
     h_dim = params[0][1].shape[-1]
     # Gradient flowing into each timestep's hidden output of the layer
     # currently being processed (from the layer above, or the loss).
-    dh_seq = np.zeros((c, n, t_steps, h_dim), dtype=np.float32)
-    dh_seq[:, :, -1, :] = grad_h_last
+    dh_seq = np.zeros((t_steps, c, n, h_dim), dtype=np.float32)
+    dh_seq[-1] = grad_h_last
     for layer in range(len(params) - 1, -1, -1):
         w_ih, w_hh, _, _ = params[layer]
         gw_ih, gw_hh, gb_ih, gb_hh = grads[layer]
-        steps = steps_by_layer[layer]
-        # Layer 0's input gradient is the whole stack's: skip its
-        # per-timestep matmuls when nothing consumes it.
-        layer_dx = layer > 0 or want_dx
-        dx_seq = np.zeros((c, n, t_steps, w_ih.shape[-1]), dtype=np.float32)
+        x_seq, gates, h, cs, tanh_c = layers[layer]
+        i_g, f_g, g_g, o_g = (gates[:, k] for k in range(4))
+        act_grad = np.subtract(1.0, gates, out=_scratch(workspace, "act_grad", gates.shape))
+        g_grad = act_grad[:, 2]
+        np.square(g_g, out=g_grad)
+        np.subtract(1.0, g_grad, out=g_grad)
+        tanh_grad = _scratch(workspace, "tanh_grad", tanh_c.shape)
+        np.square(tanh_c, out=tanh_grad)
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        dz = _scratch(workspace, "dz", (t_steps, c, n, 4 * h_dim))
+        dz_gates = dz.reshape(t_steps, c, n, 4, h_dim).transpose(0, 3, 1, 2, 4)
+        d_act = np.empty((4, c, n, h_dim), dtype=np.float32)
+        di, df, dg, do = d_act
         dh_next = np.zeros((c, n, h_dim), dtype=np.float32)
         dc_next = np.zeros((c, n, h_dim), dtype=np.float32)
         for t in range(t_steps - 1, -1, -1):
-            s = steps[t]
-            dh = dh_seq[:, :, t, :] + dh_next
-            do = dh * s["tanh_c"]
-            dc = dh * s["o"] * (1.0 - s["tanh_c"] ** 2) + dc_next
-            di = dc * s["g"]
-            df = dc * s["c_prev"]
-            dg = dc * s["i"]
-            dz = np.concatenate(
-                [
-                    di * s["i"] * (1.0 - s["i"]),
-                    df * s["f"] * (1.0 - s["f"]),
-                    dg * (1.0 - s["g"] ** 2),
-                    do * s["o"] * (1.0 - s["o"]),
-                ],
-                axis=2,
-            )
-            dz_t = dz.transpose(0, 2, 1)  # (C, 4H, N)
-            gw_ih += np.matmul(dz_t, s["x"])
-            gw_hh += np.matmul(dz_t, s["h_prev"])
-            dbias = dz.sum(axis=1)
-            gb_ih += dbias
-            gb_hh += dbias
-            if layer_dx:
-                dx_seq[:, :, t, :] = np.matmul(dz, w_ih)
-            dh_next = np.matmul(dz, w_hh)
-            dc_next = dc * s["f"]
-        dh_seq = dx_seq  # feeds the layer below
-    return dh_seq if want_dx else None
+            dh = dh_seq[t] + dh_next
+            dc = dh * o_g[t] * tanh_grad[t] + dc_next
+            np.multiply(dc, g_g[t], out=di)
+            di *= i_g[t]
+            np.multiply(dc, cs[t], out=df)
+            df *= f_g[t]
+            np.multiply(dc, i_g[t], out=dg)
+            np.multiply(dh, tanh_c[t], out=do)
+            do *= o_g[t]
+            np.multiply(d_act, act_grad[t], out=dz_gates[t])
+            dh_next = np.matmul(dz[t], w_hh)
+            dc_next = dc * f_g[t]
+        dz_tr = dz.transpose(0, 1, 3, 2)  # (T, C, 4H, N)
+        dbias = dz.sum(axis=2)
+        for t in range(t_steps - 1, -1, -1):
+            gw_ih += np.matmul(dz_tr[t], x_seq[t])
+            gw_hh += np.matmul(dz_tr[t], h[t])
+            gb_ih += dbias[t]
+            gb_hh += dbias[t]
+        # Layer 0's input gradient is the whole stack's: skip it when
+        # nothing consumes it.
+        if layer > 0 or want_dx:
+            dh_seq = np.matmul(dz, w_ih)  # feeds the layer below
+    return dh_seq.transpose(1, 2, 0, 3) if want_dx else None

@@ -38,7 +38,7 @@ class Linear(Module):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = x if self.training else None
         bias = None if self.bias is None else self.bias.data[None]
         return F.linear_forward(x[None], self.weight.data[None], bias)[0]
 
@@ -62,11 +62,13 @@ class ReLU(Module):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = x if self.training else None
         return F.relu(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x, self._x = self._x, None
+        if x is None:
+            raise RuntimeError("ReLU.backward called before forward")
         return F.relu_grad(x, grad_out)
 
 
@@ -76,11 +78,14 @@ class Tanh(Module):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = out if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         out, self._out = self._out, None
+        if out is None:
+            raise RuntimeError("Tanh.backward called before forward")
         return grad_out * (1.0 - out**2)
 
 

@@ -115,7 +115,11 @@ class Module:
     # Modes and gradients
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects Dropout/BatchNorm)."""
+        """Set training mode recursively (affects Dropout/BatchNorm).
+
+        Layers keep the activations their ``backward`` reads only in
+        training mode, so an inference forward leaves none behind; a
+        ``backward`` that needs them raises ``RuntimeError``."""
         object.__setattr__(self, "training", mode)
         for module in self._modules.values():
             module.train(mode)

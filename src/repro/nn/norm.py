@@ -107,10 +107,11 @@ class GroupNorm2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.num_channels:
             raise ValueError(f"expected {self.num_channels} channels, got {x.shape[1]}")
-        out, self._cache = F.group_norm_forward(
+        out, cache = F.group_norm_forward(
             x[None], self.weight.data[None], self.bias.data[None],
             self.num_groups, self.eps,
         )
+        self._cache = cache if self.training else None
         return out[0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

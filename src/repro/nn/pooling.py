@@ -35,10 +35,13 @@ class MaxPool2d(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, self._cache = F.maxpool2d_forward(x, self.kernel_size)
+        out, cache = F.maxpool2d_forward(x, self.kernel_size)
+        self._cache = cache if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._cache is None:
+            raise RuntimeError("MaxPool2d.backward called before forward")
         cache, self._cache = self._cache, None
         return F.maxpool2d_backward(grad_out, self.kernel_size, cache)
 

@@ -76,13 +76,14 @@ class LSTM(Module):
             for layer in range(self.num_layers)
         ]
         self._cache = None  # release the previous step cache before building one
-        out, self._cache = F.lstm_forward(x[None], params)
+        out, cache = F.lstm_forward(x[None], params)
+        self._cache = cache if self.training else None
         return out[0]
 
     def backward(self, grad_h_last: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("LSTM.backward called before forward")
-        # The per-step gate cache holds O(T * layers) activations — by far
+        # The stacked step cache holds O(T * layers) activations — by far
         # the largest retained state; drop it once consumed.
         cache, self._cache = self._cache, None
         quads = [self._params(layer) for layer in range(self.num_layers)]

@@ -265,6 +265,7 @@ class CohortExecutor(Executor):
             self._model_for(clients[0].model, len(clients)), clients
         )
         out = self._strategy.cohort_round(engine, chunk, global_state)
+        engine.model.release_scratch()
         if out is None:
             self._warn_fallback(
                 f"strategy {self._strategy.name!r} has no batched cohort round"

@@ -85,3 +85,15 @@ def assert_grads_close(
             param_grads[name], num, rtol=rtol, atol=atol,
             err_msg=f"parameter gradient mismatch for {name}",
         )
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Reference sigmoid: the sign-split form ``F.sigmoid`` replaced —
+    ``1 / (1 + e⁻ˣ)`` on ``x ≥ 0`` and ``eˣ / (1 + eˣ)`` elsewhere, each
+    over a boolean-mask gather."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

@@ -206,6 +206,35 @@ class TestCohortLayers:
             for name, p in m._parameters.items():
                 np.testing.assert_array_equal(by_name[name].grad[i], p.grad, err_msg=name)
 
+    def test_lstm_reuses_workspace_until_released(self):
+        """Steps reuse one set of scratch arrays, with results a fresh
+        layer computes; ``release_scratch`` frees them and the cache."""
+        rng = np.random.default_rng(5)
+        c, b, t, d, h = 3, 4, 5, 6, 7
+        layer = CLSTM("", LSTM(d, h, num_layers=2, rng=rng), c)
+        for p in layer.parameters():
+            p.data[...] = rng.normal(size=p.data.shape)
+        x, x2 = rng.normal(size=(2, c, b, t, d)).astype(np.float32)
+        g = rng.normal(size=(c, b, h)).astype(np.float32)
+        layer.forward(x)
+        layer.backward(g)
+        arrays = {k: id(v) for k, v in layer._workspace.items()}
+        out = layer.forward(x2)
+        dx = layer.backward(g)
+        assert {k: id(v) for k, v in layer._workspace.items()} == arrays
+
+        fresh = CLSTM("", LSTM(d, h, num_layers=2), c)
+        for p, q in zip(fresh.parameters(), layer.parameters()):
+            p.data[...] = q.data
+        np.testing.assert_array_equal(fresh.forward(x2), out)
+        np.testing.assert_array_equal(fresh.backward(g), dx)
+
+        layer.forward(x)
+        layer.release_scratch()
+        assert layer._workspace == {}
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(g)
+
     def test_loss_matches_serial_with_ragged_counts(self):
         rng = np.random.default_rng(2)
         c, b, k = 3, 8, 5

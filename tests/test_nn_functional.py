@@ -7,6 +7,8 @@ import pytest
 
 from repro.nn import functional as F
 
+from .helpers import masked_sigmoid
+
 RNG = np.random.default_rng(3)
 
 
@@ -34,6 +36,65 @@ class TestActivations:
 
     def test_sigmoid_at_zero(self):
         assert F.sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
+
+    def test_sigmoid_bitwise_masked_reference(self):
+        """The mask-free form is bitwise the sign-split form it replaced,
+        at the edges of float32: signed zeros, infinities, the overflow
+        edge of ``exp`` (±88.7), deep underflow (−104) and subnormals."""
+        tiny = np.finfo(np.float32).smallest_subnormal
+        edges = np.array(
+            [0.0, -0.0, np.inf, -np.inf, 88.7, -88.7, 88.72, -88.72, 89.0, -89.0,
+             -103.9, -104.0, -104.1, tiny, -tiny, 1e-45, -1e-45, 1e-38, -1e-38,
+             16.6, -16.6, 17.0, -17.0],
+            dtype=np.float32,
+        )
+        x = np.concatenate(
+            [edges, (RNG.normal(size=100_000) * 20).astype(np.float32)]
+        )
+        with np.errstate(over="ignore", under="ignore"):
+            ref = masked_sigmoid(x)
+        np.testing.assert_array_equal(F.sigmoid(x).view(np.uint32), ref.view(np.uint32))
+
+    def test_sigmoid_strided_slices_bitwise(self):
+        """Gate slices of a ``4H`` block — the views the LSTM kernel's
+        one-call activation covers — equal the reference per slice."""
+        z = (RNG.normal(size=(3, 8, 64)) * 6).astype(np.float32)
+        whole = F.sigmoid(z)
+        for k in range(4):
+            part = z[..., 16 * k : 16 * (k + 1)]
+            np.testing.assert_array_equal(
+                whole[..., 16 * k : 16 * (k + 1)].view(np.uint32),
+                masked_sigmoid(part).view(np.uint32),
+            )
+            np.testing.assert_array_equal(
+                F.sigmoid(part).view(np.uint32), masked_sigmoid(part).view(np.uint32)
+            )
+        every_other = z[:, ::2, 1::3]
+        np.testing.assert_array_equal(
+            F.sigmoid(every_other).view(np.uint32),
+            masked_sigmoid(every_other).view(np.uint32),
+        )
+
+    def test_sigmoid_out_argument(self):
+        z = (RNG.normal(size=(4, 6)) * 5).astype(np.float32)
+        out = np.empty((6, 4), dtype=np.float32).T
+        assert F.sigmoid(z, out=out) is out
+        np.testing.assert_array_equal(out, F.sigmoid(z))
+
+    def test_sigmoid_nan_stays_nan(self):
+        x = np.array([np.nan, 1.0, -np.nan], dtype=np.float32)
+        s = F.sigmoid(x)
+        assert np.isnan(s[0]) and np.isnan(s[2]) and not np.isnan(s[1])
+
+    def test_sigmoid_raises_no_flag_on_finite_input(self):
+        big = np.finfo(np.float32).max
+        x = np.array(
+            [-big, big, -1e4, 1e4, -88.8, 88.8, -104.0, 104.0, 0.0, -0.0],
+            dtype=np.float32,
+        )
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            s = F.sigmoid(x)
+        assert np.all((s >= 0.0) & (s <= 1.0))
 
 
 class TestSoftmax:

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    LSTM,
     AvgPool2d,
     Conv2d,
     Dropout,
     Flatten,
     GlobalAvgPool2d,
+    GroupNorm2d,
     Identity,
+    LeNetCNN,
     Linear,
     MaxPool2d,
     Module,
@@ -344,3 +347,56 @@ class TestSequential:
     def test_names_length_mismatch(self):
         with pytest.raises(ValueError):
             Sequential(Linear(2, 2, rng=RNG), names=["a", "b"])
+
+
+# ----------------------------------------------------------------------
+# Inference keeps no backward state
+# ----------------------------------------------------------------------
+EVAL_CASES = [
+    (lambda: Linear(4, 3, rng=RNG), (5, 4)),
+    (lambda: Conv2d(2, 3, 3, padding=1, rng=RNG), (2, 2, 5, 5)),
+    (lambda: MaxPool2d(2), (2, 3, 4, 4)),
+    (lambda: LSTM(3, 4, num_layers=2, rng=RNG), (2, 5, 3)),
+    (lambda: GroupNorm2d(2, 4), (2, 4, 3, 3)),
+    (ReLU, (3, 4)),
+    (Tanh, (3, 4)),
+]
+
+
+class TestEvalKeepsNoCache:
+    @pytest.mark.parametrize(
+        "make, shape", EVAL_CASES, ids=[f"case{i}" for i in range(len(EVAL_CASES))]
+    )
+    def test_backward_after_eval_forward_raises(self, make, shape):
+        m = make()
+        m.eval()
+        out = m(randn(*shape))
+        with pytest.raises(RuntimeError, match="called before forward"):
+            m.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize(
+        "make, shape", EVAL_CASES, ids=[f"case{i}" for i in range(len(EVAL_CASES))]
+    )
+    def test_train_mode_backward_still_works(self, make, shape):
+        m = make()
+        m.eval()
+        m(randn(*shape))
+        m.train()
+        out = m(randn(*shape))
+        m.backward(np.ones_like(out))
+
+    def test_eval_forward_drops_an_earlier_training_cache(self):
+        """An inference forward after a training forward leaves nothing
+        parked: the model holds no activations of either batch."""
+        model = LeNetCNN(rng=np.random.default_rng(1))
+        x = randn(4, 3, 12, 12)
+        model(x)
+        model.eval()
+        logits = model(x)
+        with pytest.raises(RuntimeError, match="called before forward"):
+            model.backward(np.ones_like(logits))
+        parked = [
+            name for name, mod in model.named_modules()
+            if any(getattr(mod, attr, None) is not None for attr in ("_cache", "_x", "_out"))
+        ]
+        assert parked == []

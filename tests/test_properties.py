@@ -22,6 +22,8 @@ from repro.runtime.aggregation import aggregate_updates, apply_update
 from repro.runtime.round import ClientRoundResult
 from repro.sysmodel import LinkModel, SpeedTrace, UplinkScheduler, select_deadline
 
+from .helpers import masked_sigmoid
+
 finite_vec = hnp.arrays(
     np.float64,
     st.integers(min_value=1, max_value=16),
@@ -380,6 +382,159 @@ class TestConvKernelProperties:
         x = rng.normal(size=(1, c, hw, hw))
         cols = F.im2col(x, 1, 1, 0)
         np.testing.assert_allclose(cols.reshape(1, c, hw, hw), x)
+
+
+# ----------------------------------------------------------------------
+# LSTM kernel
+# ----------------------------------------------------------------------
+def steps_lstm_forward(x, params):
+    """Reference forward: the step-by-step kernel ``F.lstm_forward``
+    replaced — both matmuls and three masked sigmoids per step, and a
+    dict of that step's operands cached per step."""
+    c, n, t_steps, _ = x.shape
+    h_dim = params[0][1].shape[-1]
+    cache = []
+    layer_input = x
+    for w_ih, w_hh, b_ih, b_hh in params:
+        w_ih_t = w_ih.transpose(0, 2, 1)
+        w_hh_t = w_hh.transpose(0, 2, 1)
+        bias = (b_ih + b_hh)[:, None, :]
+        h = np.zeros((c, n, h_dim), dtype=np.float32)
+        cc = np.zeros((c, n, h_dim), dtype=np.float32)
+        steps = []
+        outputs = np.empty((c, n, t_steps, h_dim), dtype=np.float32)
+        for t in range(t_steps):
+            x_t = layer_input[:, :, t, :]
+            z = np.matmul(x_t, w_ih_t) + np.matmul(h, w_hh_t) + bias
+            i_g = masked_sigmoid(z[..., :h_dim])
+            f_g = masked_sigmoid(z[..., h_dim : 2 * h_dim])
+            g_g = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
+            o_g = masked_sigmoid(z[..., 3 * h_dim :])
+            c_new = f_g * cc + i_g * g_g
+            tanh_c = np.tanh(c_new)
+            h_new = o_g * tanh_c
+            steps.append(
+                {
+                    "x": x_t, "h_prev": h, "c_prev": cc,
+                    "i": i_g, "f": f_g, "g": g_g, "o": o_g, "tanh_c": tanh_c,
+                }
+            )
+            h, cc = h_new, c_new
+            outputs[:, :, t, :] = h_new
+        cache.append(steps)
+        layer_input = outputs
+    return layer_input[:, :, -1, :], (cache, x.shape)
+
+
+def steps_lstm_backward(grad_h_last, params, grads, cache, *, want_dx=True):
+    """Reference BPTT of :func:`steps_lstm_forward`: every gradient term
+    computed and accumulated inside the descending time loop."""
+    steps_by_layer, (c, n, t_steps, _) = cache
+    h_dim = params[0][1].shape[-1]
+    dh_seq = np.zeros((c, n, t_steps, h_dim), dtype=np.float32)
+    dh_seq[:, :, -1, :] = grad_h_last
+    for layer in range(len(params) - 1, -1, -1):
+        w_ih, w_hh, _, _ = params[layer]
+        gw_ih, gw_hh, gb_ih, gb_hh = grads[layer]
+        steps = steps_by_layer[layer]
+        layer_dx = layer > 0 or want_dx
+        dx_seq = np.zeros((c, n, t_steps, w_ih.shape[-1]), dtype=np.float32)
+        dh_next = np.zeros((c, n, h_dim), dtype=np.float32)
+        dc_next = np.zeros((c, n, h_dim), dtype=np.float32)
+        for t in range(t_steps - 1, -1, -1):
+            s = steps[t]
+            dh = dh_seq[:, :, t, :] + dh_next
+            do = dh * s["tanh_c"]
+            dc = dh * s["o"] * (1.0 - s["tanh_c"] ** 2) + dc_next
+            di = dc * s["g"]
+            df = dc * s["c_prev"]
+            dg = dc * s["i"]
+            dz = np.concatenate(
+                [
+                    di * s["i"] * (1.0 - s["i"]),
+                    df * s["f"] * (1.0 - s["f"]),
+                    dg * (1.0 - s["g"] ** 2),
+                    do * s["o"] * (1.0 - s["o"]),
+                ],
+                axis=2,
+            )
+            dz_t = dz.transpose(0, 2, 1)
+            gw_ih += np.matmul(dz_t, s["x"])
+            gw_hh += np.matmul(dz_t, s["h_prev"])
+            dbias = dz.sum(axis=1)
+            gb_ih += dbias
+            gb_hh += dbias
+            if layer_dx:
+                dx_seq[:, :, t, :] = np.matmul(dz, w_ih)
+            dh_next = np.matmul(dz, w_hh)
+            dc_next = dc * s["f"]
+        dh_seq = dx_seq
+    return dh_seq if want_dx else None
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+class TestLSTMKernelProperties:
+    @given(
+        st.integers(min_value=1, max_value=4),   # C
+        st.integers(min_value=1, max_value=9),   # N
+        st.integers(min_value=1, max_value=12),  # T
+        st.integers(min_value=1, max_value=20),  # D
+        st.integers(min_value=1, max_value=20),  # H
+        st.integers(min_value=1, max_value=3),   # layers
+        st.booleans(),                           # want_dx
+        st.sampled_from([0.1, 1.0, 4.0]),        # weight scale
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_step_kernel_bitwise(self, c, n, t, d, h, layers, want_dx, scale, seed):
+        """Output, every layer's four gradients (accumulated into nonzero
+        starting values) and dx are bitwise those of the step-by-step
+        kernel the stacked one replaced, with fresh arrays and with a
+        reused workspace."""
+        from repro.nn import functional as F
+
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c, n, t, d)).astype(np.float32)
+        params, grads = [], []
+        for layer in range(layers):
+            in_dim = d if layer == 0 else h
+            shapes = [(c, 4 * h, in_dim), (c, 4 * h, h), (c, 4 * h), (c, 4 * h)]
+            params.append(
+                tuple((scale * rng.normal(size=s)).astype(np.float32) for s in shapes)
+            )
+            grads.append(tuple(rng.normal(size=s).astype(np.float32) for s in shapes))
+        grad_h = rng.normal(size=(c, n, h)).astype(np.float32)
+
+        ref_grads = [tuple(g.copy() for g in quad) for quad in grads]
+        ref_out, ref_cache = steps_lstm_forward(x, params)
+        ref_dx = steps_lstm_backward(grad_h, params, ref_grads, ref_cache, want_dx=want_dx)
+
+        # A workspace left over from an earlier step, its arrays poisoned
+        # with NaN: an element the kernel reads before writing shows up.
+        stale = {}
+        _, stale_cache = F.lstm_forward(x, params, stale)
+        F.lstm_backward(grad_h, params, [tuple(np.zeros_like(g) for g in quad)
+                                         for quad in grads], stale_cache, workspace=stale)
+        for arr in stale.values():
+            arr.fill(np.nan)
+        for workspace in (None, stale):
+            step_grads = [tuple(g.copy() for g in quad) for quad in grads]
+            out, cache = F.lstm_forward(x, params, workspace)
+            dx = F.lstm_backward(grad_h, params, step_grads, cache, want_dx=want_dx,
+                                 workspace=workspace)
+
+            np.testing.assert_array_equal(bits(out), bits(ref_out))
+            for quad, ref_quad in zip(step_grads, ref_grads):
+                for g, ref_g in zip(quad, ref_quad):
+                    np.testing.assert_array_equal(bits(g), bits(ref_g))
+            if want_dx:
+                assert dx.shape == ref_dx.shape
+                np.testing.assert_array_equal(bits(dx), bits(ref_dx))
+            else:
+                assert dx is None and ref_dx is None
 
 
 # ----------------------------------------------------------------------
